@@ -30,6 +30,19 @@ class SetAssociativeCache:
         #: insertion order but LRU ordering uses explicit timestamps.
         self._sets: list[dict[int, CacheLine]] = [{} for _ in range(geometry.sets)]
         self._clock = 0
+        # ``geometry.set_index`` unpacked for :meth:`_set_for`: with no
+        # hash shift the fold mask zeroes the XOR term.
+        self._index_shift = geometry.index_shift
+        self._index_fold = -1 if geometry.index_shift else 0
+        self._set_mask = geometry.sets - 1
+        self._ways = geometry.ways
+
+    def _set_for(self, line_addr: int) -> dict[int, CacheLine]:
+        """The set dict holding ``line_addr`` (``CacheGeometry.set_index``)."""
+        return self._sets[
+            (line_addr ^ (line_addr >> self._index_shift & self._index_fold))
+            & self._set_mask
+        ]
 
     @property
     def geometry(self) -> CacheGeometry:
@@ -38,11 +51,11 @@ class SetAssociativeCache:
     # -- lookups --------------------------------------------------------------
     def lookup(self, line_addr: int) -> Optional[CacheLine]:
         """Return the entry for ``line_addr`` without touching LRU state."""
-        return self._sets[self._geometry.set_index(line_addr)].get(line_addr)
+        return self._set_for(line_addr).get(line_addr)
 
     def access(self, line_addr: int) -> Optional[CacheLine]:
         """Return the entry and mark it most recently used."""
-        entry = self.lookup(line_addr)
+        entry = self._set_for(line_addr).get(line_addr)
         if entry is not None:
             self._clock += 1
             entry.last_use = self._clock
@@ -60,15 +73,15 @@ class SetAssociativeCache:
         Returns ``None`` when the set has a free way (or already holds the
         line, in which case insertion is a replacement of itself).
         """
-        cache_set = self._sets[self._geometry.set_index(line_addr)]
-        if line_addr in cache_set or len(cache_set) < self._geometry.ways:
+        cache_set = self._set_for(line_addr)
+        if line_addr in cache_set or len(cache_set) < self._ways:
             return None
-        return self._policy.select_victim(list(cache_set.values()))
+        return self._policy.select_victim(cache_set.values())
 
     def insert(self, entry: CacheLine) -> None:
         """Insert an entry; the caller must have made room first."""
-        cache_set = self._sets[self._geometry.set_index(entry.line_addr)]
-        if entry.line_addr not in cache_set and len(cache_set) >= self._geometry.ways:
+        cache_set = self._set_for(entry.line_addr)
+        if entry.line_addr not in cache_set and len(cache_set) >= self._ways:
             raise RuntimeError(
                 f"inserting line {entry.line_addr:#x} into a full set; "
                 "evict the victim_for() entry first"
@@ -79,9 +92,13 @@ class SetAssociativeCache:
 
     def remove(self, line_addr: int) -> Optional[CacheLine]:
         """Remove and return the entry for ``line_addr`` (or ``None``)."""
-        return self._sets[self._geometry.set_index(line_addr)].pop(line_addr, None)
+        return self._set_for(line_addr).pop(line_addr, None)
 
     # -- inspection -----------------------------------------------------------
+    def set_entries(self, line_addr: int) -> list[CacheLine]:
+        """The entries of the set ``line_addr`` maps to, in insertion order."""
+        return list(self._set_for(line_addr).values())
+
     def __iter__(self) -> Iterator[CacheLine]:
         for cache_set in self._sets:
             yield from cache_set.values()

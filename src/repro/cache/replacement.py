@@ -11,7 +11,7 @@ reproduces that comparison.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence
+from typing import Collection, Protocol
 
 from repro.cache.entries import CacheLine
 
@@ -19,7 +19,7 @@ from repro.cache.entries import CacheLine
 class ReplacementPolicy(Protocol):
     """Chooses a victim among the valid entries of a full set."""
 
-    def select_victim(self, candidates: Sequence[CacheLine]) -> CacheLine:
+    def select_victim(self, candidates: Collection[CacheLine]) -> CacheLine:
         """Return the entry to evict. ``candidates`` is non-empty."""
         ...
 
@@ -27,7 +27,7 @@ class ReplacementPolicy(Protocol):
 class LRUPolicy:
     """Classic least-recently-used replacement."""
 
-    def select_victim(self, candidates: Sequence[CacheLine]) -> CacheLine:
+    def select_victim(self, candidates: Collection[CacheLine]) -> CacheLine:
         if not candidates:
             raise ValueError("no replacement candidates")
         return min(candidates, key=lambda entry: entry.last_use)
@@ -40,7 +40,7 @@ class ModifiedLRUPolicy:
     the inclusive hierarchy would otherwise trigger) negligible.
     """
 
-    def select_victim(self, candidates: Sequence[CacheLine]) -> CacheLine:
+    def select_victim(self, candidates: Collection[CacheLine]) -> CacheLine:
         if not candidates:
             raise ValueError("no replacement candidates")
         return min(candidates, key=lambda entry: (entry.l1_copies, entry.last_use))

@@ -1008,14 +1008,9 @@ class ProtocolEngine:
 
         def snapshot(array):
             """Sorted (lines, writability) view of one L1 array."""
-            sets = array._sets
-            addrs = [line_addr for cache_set in sets for line_addr in cache_set]
-            writable = [
-                entry.state.writable
-                for cache_set in sets
-                for entry in cache_set.values()
-            ]
-            lines = np.array(addrs, dtype=np.int64)
+            entries = list(array)
+            lines = np.array([entry.line_addr for entry in entries], dtype=np.int64)
+            writable = [entry.state.writable for entry in entries]
             order = np.argsort(lines)
             return lines[order], np.asarray(writable, dtype=bool)[order]
 
@@ -1040,10 +1035,9 @@ class ProtocolEngine:
             n = seq.shape[0]
             uniq, first_pos = np.unique(seq[::-1], return_index=True)
             last_ordinal = n - first_pos
-            sets = array._sets
-            set_index = array._geometry.set_index
+            lookup = array.lookup
             for line_addr, ordinal in zip(uniq.tolist(), last_ordinal.tolist()):
-                sets[set_index(line_addr)][line_addr].last_use = base + ordinal
+                lookup(line_addr).last_use = base + ordinal
             array._clock = base + n
 
         def run_vector(core, decoded, index, stop, now, limit, strict):
@@ -1325,21 +1319,23 @@ class ProtocolEngine:
         offchip_latency)``.
         """
         llc = self.slices[home]
-        self.stats.energy_event(energy_events.LLC_TAG_READ)
-        self.stats.energy_event(energy_events.DIR_READ)
+        energy_counts = self.stats.energy_counts
+        counters = self.stats.counters
+        energy_counts[energy_events.LLC_TAG_READ] += 1
+        energy_counts[energy_events.DIR_READ] += 1
         t += self.config.llc_tag_latency
 
         entry = llc.home(line_addr)
         offchip_latency = 0.0
         if entry is None:
             status = MissStatus.OFF_CHIP_MISS
-            self.stats.bump("offchip_misses")
+            counters["offchip_misses"] += 1
             entry, fetch_latency = self._fetch_from_dram(home, line_addr, t)
             offchip_latency = fetch_latency
             t += fetch_latency
         else:
             status = MissStatus.LLC_HOME_HIT
-            self.stats.bump("llc_home_hits")
+            counters["llc_home_hits"] += 1
             llc.touch(entry)
 
         if self.observer is not None:
@@ -1352,8 +1348,8 @@ class ProtocolEngine:
             grant, sharer_latency = self._service_read(home, core, entry, is_ifetch, t)
         t += sharer_latency
 
-        self.stats.energy_event(energy_events.LLC_DATA_READ)
-        self.stats.energy_event(energy_events.DIR_WRITE)
+        energy_counts[energy_events.LLC_DATA_READ] += 1
+        energy_counts[energy_events.DIR_WRITE] += 1
         t += self.config.llc_data_latency
         return t, status, grant, sharer_latency, offchip_latency
 
@@ -1494,21 +1490,26 @@ class ProtocolEngine:
         self._make_room(home, line_addr, t)
         controller, _, dram_latency = self.dram.read(line_addr, t)
         ctrl_core = controller.core_id
-        request_arrive = self.mesh.send(home, ctrl_core, self._control_flits, t) \
-            if ctrl_core != home else t
-        response = self.mesh.send(
-            ctrl_core, home, self._data_flits, request_arrive + dram_latency
-        ) if ctrl_core != home else request_arrive + dram_latency
-        self.stats.energy_event(energy_events.DRAM_READ)
+        if ctrl_core != home:
+            mesh_send = self.mesh.send
+            request_arrive = mesh_send(home, ctrl_core, self._control_flits, t)
+            response = mesh_send(
+                ctrl_core, home, self._data_flits, request_arrive + dram_latency
+            )
+        else:
+            response = t + dram_latency
+        energy_counts = self.stats.energy_counts
+        energy_counts[energy_events.DRAM_READ] += 1
+        config = self.config
         entry = HomeEntry(
             line_addr,
-            make_sharer_tracker(self.config.num_cores, self.config.ackwise_pointers),
+            make_sharer_tracker(config.num_cores, config.ackwise_pointers),
             state=MESIState.SHARED,
         )
         entry.classifier = self._new_classifier_state()
         self.slices[home].insert(entry)
-        self.stats.energy_event(energy_events.LLC_TAG_WRITE)
-        self.stats.energy_event(energy_events.LLC_DATA_WRITE)
+        energy_counts[energy_events.LLC_TAG_WRITE] += 1
+        energy_counts[energy_events.LLC_DATA_WRITE] += 1
         return entry, response - t
 
     def _new_classifier_state(self):
@@ -1616,7 +1617,7 @@ class ProtocolEngine:
         if replica is not None:
             replica.l1_copy = True
         if victim is not None:
-            self.stats.bump("l1_evictions")
+            self.stats.counters["l1_evictions"] += 1
             self.handle_l1_eviction(core, victim, is_ifetch, now)
 
     def _notify_home_of_l1_eviction(
@@ -1716,9 +1717,10 @@ class ProtocolEngine:
     # ------------------------------------------------------------------
     def _l1_energy(self, is_ifetch: bool, read: bool) -> None:
         if is_ifetch:
-            self.stats.energy_event(energy_events.L1I_READ if read else energy_events.L1I_WRITE)
+            event = energy_events.L1I_READ if read else energy_events.L1I_WRITE
         else:
-            self.stats.energy_event(energy_events.L1D_READ if read else energy_events.L1D_WRITE)
+            event = energy_events.L1D_READ if read else energy_events.L1D_WRITE
+        self.stats.energy_counts[event] += 1
 
     def finalize(self) -> None:
         """Fold network/DRAM hardware counters into the energy counts."""

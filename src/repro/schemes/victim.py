@@ -122,12 +122,7 @@ class VictimReplicationScheme(ProtocolEngine):
             return False  # cannot shadow our own home line
         if llc.victim_for(line_addr) is None:
             return True  # a free way exists
-        set_index = llc.geometry.set_index(line_addr)
-        candidates = [
-            entry
-            for entry in llc
-            if llc.geometry.set_index(entry.line_addr) == set_index
-        ]
+        candidates = llc.set_entries(line_addr)
         replicas = [entry for entry in candidates if isinstance(entry, ReplicaEntry)]
         if replicas:
             chosen = min(replicas, key=lambda entry: entry.last_use)

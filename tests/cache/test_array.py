@@ -118,3 +118,22 @@ class TestInspection:
         assert len(cache) <= cache.geometry.lines
         for set_index in range(cache.geometry.sets):
             assert cache.set_occupancy(set_index) <= cache.geometry.ways
+
+
+@pytest.mark.parametrize("shift", [0, 3])
+def test_set_entries_follow_the_geometry_index(shift):
+    """``set_entries`` returns exactly one set, in insertion order, under
+    plain and XOR-hashed indexing."""
+    geometry = CacheGeometry(sets=8, ways=16, index_shift=shift)
+    cache = SetAssociativeCache(geometry, LRUPolicy())
+    lines = [0, 1, 7, 8, 9, 63, 64, 72, 1000, 2**40 + 5]
+    for line in lines:
+        cache.insert(_entry(line))
+    for line in lines:
+        expected = [
+            other for other in lines
+            if geometry.set_index(other) == geometry.set_index(line)
+        ]
+        assert [entry.line_addr for entry in cache.set_entries(line)] == expected
+    cache.set_entries(0).clear()  # a copy: the set itself is untouched
+    assert cache.lookup(0) is not None
